@@ -8,11 +8,9 @@
 //!
 //! The store itself is *sharded*: bins live in `2^shard_shift` shards indexed
 //! by the top bits of the bin id, each shard owning its contiguous slice of bin
-//! slots plus a reusable encode scratch buffer. Sharding keeps the per-shard
-//! slot vectors small and cache-friendly, gives every migration an
-//! amortized-allocation-free encode path (the scratch buffer), and is the
-//! layout under which a future NUMA-aware or concurrent store can pin shards to
-//! cores without changing the API.
+//! slots. Sharding keeps the per-shard slot vectors small and cache-friendly,
+//! and is the layout under which a future NUMA-aware or concurrent store can
+//! pin shards to cores without changing the API.
 //!
 //! Migration is *incremental*: [`BinStore::extract_chunked`] starts an
 //! extraction whose encoded bytes are pulled out as bounded-size fragments
@@ -405,7 +403,7 @@ impl std::fmt::Debug for StatsHandle {
 }
 
 /// One shard of the bin store: a contiguous slice of bin slots, its hosted
-/// count, the loads of its bins, and a reusable encode scratch buffer.
+/// count and the loads of its bins.
 #[derive(Debug)]
 struct Shard<T, S, D> {
     /// Bin slots; `slots[i]` holds bin `base + i`.
@@ -414,9 +412,6 @@ struct Shard<T, S, D> {
     loads: Vec<BinLoad>,
     /// Number of hosted bins in this shard (maintained, not scanned).
     hosted: usize,
-    /// Reusable encode scratch buffer: fragments are encoded here and copied
-    /// out exactly-sized, so repeated migrations do not re-grow buffers.
-    scratch: Vec<u8>,
 }
 
 impl<T, S, D> Shard<T, S, D> {
@@ -425,7 +420,6 @@ impl<T, S, D> Shard<T, S, D> {
             slots: (0..slots).map(|_| None).collect(),
             loads: vec![BinLoad::default(); slots],
             hosted: 0,
-            scratch: Vec::new(),
         }
     }
 }
@@ -719,10 +713,6 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
     /// installed there), and its encoded bytes are pulled out fragment by
     /// fragment with [`ChunkedExtraction::next_fragment`].
     ///
-    /// The extraction borrows the shard's scratch buffer; pass the finished
-    /// extraction to [`BinStore::recycle`] to return the (grown) buffer for the
-    /// next migration.
-    ///
     /// # Panics
     ///
     /// Panics if the store's durable backend fails; use
@@ -747,25 +737,8 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
         if let Some(backend) = self.backend.as_mut() {
             backend.retire(bin as u64)?;
         }
-        let contents = self.extract(bin).expect("hosted and resident");
-        let shard = self.shard_of(bin);
-        let scratch = std::mem::take(&mut self.shards[shard].scratch);
-        Ok(Some(ChunkedExtraction {
-            bin,
-            fragmenter: contents.into_fragmenter(),
-            scratch,
-            exhausted: false,
-        }))
-    }
-
-    /// Returns a finished extraction's scratch buffer to its shard.
-    pub fn recycle(&mut self, extraction: ChunkedExtraction<T, S, D>) {
-        let shard = self.shard_of(extraction.bin);
-        let mut scratch = extraction.scratch;
-        scratch.clear();
-        if self.shards[shard].scratch.capacity() < scratch.capacity() {
-            self.shards[shard].scratch = scratch;
-        }
+        let fragmenter = self.extract(bin).expect("hosted and resident").into_fragmenter();
+        Ok(Some(ChunkedExtraction { bin, fragmenter, exhausted: false }))
     }
 
     /// Absorbs one migration fragment for `bin`. Returns `true` when `last`
@@ -1023,11 +996,10 @@ fn decode_image<T: Codec, S: ChunkedCodec, D: Codec>(bin: BinId, image: &[u8]) -
 }
 
 /// An in-progress incremental extraction of one bin: owns the removed bin's
-/// fragmenter and a scratch buffer, and yields bounded-size encoded fragments.
+/// fragmenter and yields bounded-size encoded fragments.
 pub struct ChunkedExtraction<T: Codec, S: ChunkedCodec, D: Codec> {
     bin: BinId,
     fragmenter: BinFragmenter<T, S, D>,
-    scratch: Vec<u8>,
     exhausted: bool,
 }
 
@@ -1039,18 +1011,18 @@ impl<T: Codec, S: ChunkedCodec, D: Codec> ChunkedExtraction<T, S, D> {
 
     /// Encodes the next fragment of at most `chunk_bytes` (single oversized
     /// units excepted) and returns it with a flag marking the final fragment.
-    /// The fragment is encoded into the reusable scratch buffer and copied out
-    /// exactly-sized, so no per-fragment growth reallocation occurs.
+    /// The fragment is encoded straight into the returned vector; a run of
+    /// fixed-width items reserves its exact size in one step.
     ///
     /// # Panics
     ///
     /// Panics if called again after the final fragment was returned.
     pub fn next_fragment(&mut self, chunk_bytes: usize) -> (Vec<u8>, bool) {
         assert!(!self.exhausted, "extraction of bin {} already finished", self.bin);
-        self.scratch.clear();
-        let more = self.fragmenter.fill(chunk_bytes.max(1), &mut self.scratch);
+        let mut fragment = Vec::new();
+        let more = self.fragmenter.fill(chunk_bytes.max(1), &mut fragment);
         self.exhausted = !more;
-        (self.scratch.as_slice().to_vec(), !more)
+        (fragment, !more)
     }
 
     /// Returns `true` once the final fragment has been produced.
@@ -1289,7 +1261,6 @@ mod tests {
             }
             assert_eq!(target.pending_installs(), 1);
         }
-        source.recycle(extraction);
         assert!(fragments > 1, "a 100-element bin must split under a 64-byte budget");
         assert_eq!(target.pending_installs(), 0);
         assert_eq!(target.try_bin(1).unwrap(), &expected);
@@ -1371,9 +1342,8 @@ mod tests {
         store.note_records(3, 2, 16);
         assert_eq!(store.tracked_bytes(), store.stats().total_bytes());
         // Extract drops the bin's share from the aggregate…
-        let extraction = store.extract_chunked(0).expect("hosted");
+        let _ = store.extract_chunked(0).expect("hosted");
         assert_eq!(store.tracked_bytes(), 16);
-        store.recycle(extraction);
         // …self-migration round trips preserve it via set_load…
         let load = store.load(3);
         let contents = store.extract(3).expect("hosted");
@@ -1625,7 +1595,6 @@ mod tests {
             while !extraction.is_finished() {
                 let _ = extraction.next_fragment(config.chunk_bytes);
             }
-            store.recycle(extraction);
         }
         let (store, recovered) = TestStore::open_durable(&config, &durable, "op", 0).expect("reopen");
         assert!(!store.is_hosted(3), "a migrated-away bin must not resurrect");

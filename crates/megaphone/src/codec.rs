@@ -17,15 +17,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 
 pub use timelite::codec::Codec;
+use timelite::codec::MAX_PRESIZE_ITEMS;
 
 // ---------------------------------------------------------------------------
 // Incremental (chunked) encoding for migration fragments.
 // ---------------------------------------------------------------------------
-
-/// Maximum number of items a decoder pre-sizes a collection for, guarding the
-/// pre-allocation against a corrupt length header. Larger collections still
-/// decode correctly; they just grow past the initial capacity.
-const MAX_PRESIZE_ITEMS: usize = 1 << 20;
 
 /// A streaming encoder that produces a value's canonical [`Codec`] byte stream
 /// in bounded-size fragments.
@@ -116,8 +112,9 @@ impl<V: Codec> Assembler for AtomAssembler<V> {
     }
 }
 
-/// [`Fragmenter`] for sequences: a length header followed by one unit per item,
-/// drawn from a consuming iterator so resumption costs O(1) per call.
+/// [`Fragmenter`] for `VecDeque`s and maps: a length header followed by one
+/// unit per item, drawn from a consuming iterator so resumption costs O(1) per
+/// call. (Vectors use the bulk [`VecFragmenter`].)
 pub struct SeqFragmenter<I: Iterator>
 where
     I::Item: Codec,
@@ -188,15 +185,6 @@ pub trait FragmentItems<T>: Sized {
     fn push_item(&mut self, item: T);
 }
 
-impl<T> FragmentItems<T> for Vec<T> {
-    fn with_item_capacity(items: usize) -> Self {
-        Vec::with_capacity(items.min(MAX_PRESIZE_ITEMS))
-    }
-    fn push_item(&mut self, item: T) {
-        self.push(item);
-    }
-}
-
 impl<T> FragmentItems<T> for VecDeque<T> {
     fn with_item_capacity(items: usize) -> Self {
         VecDeque::with_capacity(items.min(MAX_PRESIZE_ITEMS))
@@ -224,8 +212,8 @@ impl<K: Ord, V> FragmentItems<(K, V)> for BTreeMap<K, V> {
     }
 }
 
-/// [`Assembler`] for sequences: reads the length header, pre-sizes the
-/// collection, then absorbs exactly that many items and no more.
+/// [`Assembler`] for `VecDeque`s and maps: reads the length header, pre-sizes
+/// the collection, then absorbs exactly that many items and no more.
 pub struct SeqAssembler<C, T> {
     remaining: Option<usize>,
     collection: Option<C>,
@@ -269,6 +257,60 @@ impl<C: FragmentItems<T>, T: Codec> Assembler for SeqAssembler<C, T> {
     fn finish(self) -> C {
         assert!(self.remaining == Some(0), "sequence assembler finished before all items arrived");
         self.collection.expect("complete assembler holds its collection")
+    }
+}
+
+/// [`Fragmenter`] for vectors: a length header followed by runs of items,
+/// each encoded by one [`Codec::encode_run`] call from a cursor into the
+/// vector, so fixed-width items leave as bulk copies.
+pub struct VecFragmenter<T: Codec> {
+    /// Whether the length header is still to be emitted.
+    header: bool,
+    items: Vec<T>,
+    /// Index of the first item not yet emitted into a fragment.
+    next: usize,
+}
+
+impl<T: Codec> Fragmenter for VecFragmenter<T> {
+    fn fill(&mut self, budget: usize, buf: &mut Vec<u8>) -> bool {
+        if std::mem::take(&mut self.header) {
+            self.items.len().encode(buf);
+        }
+        self.next += T::encode_run(&self.items[self.next..], budget, buf);
+        self.next < self.items.len()
+    }
+}
+
+/// [`Assembler`] for vectors: reads the length header, pre-sizes the vector,
+/// then decodes each fragment's items with one [`Codec::decode_run`] call.
+pub struct VecAssembler<T> {
+    /// Items still expected; `None` until the length header arrives.
+    remaining: Option<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Codec> Assembler for VecAssembler<T> {
+    type Value = Vec<T>;
+    fn absorb(&mut self, bytes: &mut &[u8]) {
+        let remaining = match self.remaining {
+            Some(remaining) => remaining,
+            None if bytes.is_empty() => return,
+            None => {
+                let len = usize::decode(bytes);
+                self.items.reserve_exact(len.min(MAX_PRESIZE_ITEMS));
+                len
+            }
+        };
+        let before = self.items.len();
+        T::decode_run(bytes, remaining, &mut self.items);
+        self.remaining = Some(remaining - (self.items.len() - before));
+    }
+    fn is_complete(&self) -> bool {
+        self.remaining == Some(0)
+    }
+    fn finish(self) -> Vec<T> {
+        assert!(self.remaining == Some(0), "vector assembler finished before all items arrived");
+        self.items
     }
 }
 
@@ -332,13 +374,13 @@ tuple_chunked! {
 }
 
 impl<T: Codec> ChunkedCodec for Vec<T> {
-    type Fragmenter = SeqFragmenter<std::vec::IntoIter<T>>;
-    type Assembler = SeqAssembler<Vec<T>, T>;
+    type Fragmenter = VecFragmenter<T>;
+    type Assembler = VecAssembler<T>;
     fn into_fragmenter(self) -> Self::Fragmenter {
-        SeqFragmenter::new(self.len(), self.into_iter())
+        VecFragmenter { header: true, items: self, next: 0 }
     }
     fn assembler() -> Self::Assembler {
-        SeqAssembler::new()
+        VecAssembler { remaining: None, items: Vec::new() }
     }
 }
 

@@ -302,9 +302,7 @@ where
                 }
                 drop(session);
                 if outgoing.front().expect("front just used").2.is_finished() {
-                    let (_capability, _target, extraction) =
-                        outgoing.pop_front().expect("front just used");
-                    f_store.borrow_mut().recycle(extraction);
+                    outgoing.pop_front();
                 }
             }
 

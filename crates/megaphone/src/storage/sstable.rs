@@ -258,10 +258,10 @@ pub fn compact(
 mod tests {
     use super::*;
 
+    /// A directory of this test's own: tests run in parallel, so none may
+    /// share (and delete) a parent with another.
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("mp-sst-tests-{}", std::process::id()))
-            .join(name);
+        let dir = std::env::temp_dir().join(format!("mp-sst-tests-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
@@ -282,7 +282,7 @@ mod tests {
         }
         assert_eq!(written.get(1).expect("get"), None, "absent bin");
         assert_eq!(reopened.read_all().expect("read_all"), entries);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -297,7 +297,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(matches!(SsTable::open(&path), Err(StorageError::Corrupt(_))));
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -324,6 +324,6 @@ mod tests {
             .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(files, vec![table_file_name(3)]);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

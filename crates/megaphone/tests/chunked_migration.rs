@@ -55,7 +55,6 @@ fn multi_megabyte_bin_roundtrips_in_bounded_fragments() {
             break;
         }
     }
-    source.recycle(extraction);
 
     assert!(
         fragments >= (whole_encoding.len() / chunk_bytes).max(2),

@@ -155,9 +155,55 @@ pub trait Codec: Sized {
         debug_assert!(bytes.is_empty(), "codec left {} undecoded bytes", bytes.len());
         value
     }
+
+    /// Appends the encodings of the longest prefix of `items` that fits a
+    /// fragment `budget` (compared against the absolute length of `bytes`)
+    /// and returns how many items it appended. An item that would overshoot a
+    /// non-empty buffer is held back; an oversized item that starts an empty
+    /// buffer is appended alone, since items are never split.
+    ///
+    /// The default encodes item by item (a held-back item is encoded again
+    /// by the next call); fixed-width numbers override it with one bulk pass
+    /// over the run.
+    fn encode_run(items: &[Self], budget: usize, bytes: &mut Vec<u8>) -> usize {
+        for (done, item) in items.iter().enumerate() {
+            if bytes.len() >= budget {
+                return done;
+            }
+            let start = bytes.len();
+            item.encode(bytes);
+            if bytes.len() > budget && start > 0 {
+                bytes.truncate(start);
+                return done;
+            }
+        }
+        items.len()
+    }
+
+    /// Decodes up to `n` whole items from the front of `bytes` into `out`,
+    /// stopping early only when `bytes` runs out. A buffer that ends inside
+    /// an item panics, as [`Codec::decode`] does.
+    ///
+    /// The default decodes item by item; fixed-width numbers override it
+    /// with one bulk pass over the run.
+    fn decode_run(bytes: &mut &[u8], n: usize, out: &mut Vec<Self>) {
+        for _ in 0..n {
+            if bytes.is_empty() {
+                return;
+            }
+            out.push(Self::decode(bytes));
+        }
+    }
 }
 
+/// Maximum number of items a decoder pre-sizes a collection for, so a corrupt
+/// or hostile length header cannot force a huge allocation before the bytes
+/// behind it are checked. Larger collections still decode; they just grow
+/// past the initial capacity.
+pub const MAX_PRESIZE_ITEMS: usize = 1 << 20;
+
 fn take<'a>(bytes: &mut &'a [u8], len: usize) -> &'a [u8] {
+    assert!(len <= bytes.len(), "codec input truncated: need {len} bytes, {} left", bytes.len());
     let (head, tail) = bytes.split_at(len);
     *bytes = tail;
     head
@@ -176,6 +222,29 @@ macro_rules! integer_codec {
                     let mut buf = [0u8; std::mem::size_of::<$ty>()];
                     buf.copy_from_slice(take(bytes, std::mem::size_of::<$ty>()));
                     <$ty>::from_le_bytes(buf)
+                }
+                fn encode_run(items: &[Self], budget: usize, bytes: &mut Vec<u8>) -> usize {
+                    const WIDTH: usize = std::mem::size_of::<$ty>();
+                    let fit = budget.saturating_sub(bytes.len()) / WIDTH;
+                    // An empty buffer below its budget always takes one item.
+                    let floor = usize::from(bytes.is_empty() && budget > 0);
+                    let n = fit.max(floor).min(items.len());
+                    let start = bytes.len();
+                    bytes.resize(start + n * WIDTH, 0);
+                    for (out, item) in bytes[start..].chunks_exact_mut(WIDTH).zip(&items[..n]) {
+                        out.copy_from_slice(&item.to_le_bytes());
+                    }
+                    n
+                }
+                fn decode_run(bytes: &mut &[u8], n: usize, out: &mut Vec<Self>) {
+                    const WIDTH: usize = std::mem::size_of::<$ty>();
+                    // Rounding up makes a buffer cut inside an item fail in
+                    // `take` instead of silently dropping the partial tail.
+                    let n = n.min(bytes.len().div_ceil(WIDTH));
+                    let run = take(bytes, n * WIDTH);
+                    out.extend(run.chunks_exact(WIDTH).map(|item| {
+                        <$ty>::from_le_bytes(item.try_into().expect("chunks are exactly one item"))
+                    }));
                 }
             }
         )*
@@ -257,13 +326,18 @@ impl<T: Codec> Codec for Option<T> {
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, bytes: &mut Vec<u8>) {
         self.len().encode(bytes);
-        for item in self {
-            item.encode(bytes);
-        }
+        T::encode_run(self, usize::MAX, bytes);
     }
     fn decode(bytes: &mut &[u8]) -> Self {
         let len = usize::decode(bytes);
-        (0..len).map(|_| T::decode(bytes)).collect()
+        let mut items = Vec::with_capacity(len.min(MAX_PRESIZE_ITEMS));
+        T::decode_run(bytes, len, &mut items);
+        // Items that encode to no bytes (`()`) decode from an exhausted
+        // buffer; for any other item this panics on the truncated input.
+        while items.len() < len {
+            items.push(T::decode(bytes));
+        }
+        items
     }
 }
 
@@ -276,7 +350,11 @@ impl<T: Codec> Codec for VecDeque<T> {
     }
     fn decode(bytes: &mut &[u8]) -> Self {
         let len = usize::decode(bytes);
-        (0..len).map(|_| T::decode(bytes)).collect()
+        let mut items = VecDeque::with_capacity(len.min(MAX_PRESIZE_ITEMS));
+        for _ in 0..len {
+            items.push_back(T::decode(bytes));
+        }
+        items
     }
 }
 
@@ -290,7 +368,7 @@ impl<K: Codec + Eq + Hash, V: Codec, S: BuildHasher + Default> Codec for HashMap
     }
     fn decode(bytes: &mut &[u8]) -> Self {
         let len = usize::decode(bytes);
-        let mut map = HashMap::with_capacity_and_hasher(len, S::default());
+        let mut map = HashMap::with_capacity_and_hasher(len.min(MAX_PRESIZE_ITEMS), S::default());
         for _ in 0..len {
             let key = K::decode(bytes);
             let value = V::decode(bytes);
@@ -426,6 +504,37 @@ mod tests {
     fn slab_slice_past_end_panics() {
         let slab = Slab::new(vec![1, 2, 3]);
         let _ = slab.slice(1..5);
+    }
+
+    /// A 16-byte buffer whose length header claims 2^36 items.
+    fn huge_header() -> Vec<u8> {
+        let mut bytes = (1u64 << 36).encode_to_vec();
+        7u64.encode(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    #[should_panic(expected = "codec input truncated")]
+    fn vec_length_header_cannot_force_a_huge_allocation() {
+        let _ = Vec::<u64>::decode_from_slice(&huge_header());
+    }
+
+    #[test]
+    #[should_panic(expected = "codec input truncated")]
+    fn deque_length_header_cannot_force_a_huge_allocation() {
+        let _ = VecDeque::<u64>::decode_from_slice(&huge_header());
+    }
+
+    #[test]
+    #[should_panic(expected = "codec input truncated")]
+    fn map_length_header_cannot_force_a_huge_allocation() {
+        let _ = HashMap::<u32, u32>::decode_from_slice(&huge_header());
+    }
+
+    #[test]
+    fn zero_width_items_decode_from_an_exhausted_buffer() {
+        roundtrip(vec![(); 5]);
+        roundtrip(vec![((), ()); 3]);
     }
 
     #[test]
